@@ -54,9 +54,7 @@ The facade groups the toolkit by task:
   --self-profile`` uses.
 
 Deep imports of internal modules keep working but are not part of the
-promise; modules that have moved (``repro.core.errors``,
-``repro.server.errors``) remain as shims raising
-:class:`DeprecationWarning`.
+promise.
 """
 
 from __future__ import annotations

@@ -1,8 +1,6 @@
 """``repro.query`` — the composable call-path query language.
 
-One abstraction replaces the historical trio of ad-hoc entry points
-(``core.search``, ``core.filters``, ``core.advisor`` — all still
-importable, now thin shims over this package):
+The toolkit's one programmatic analysis interface:
 
 >>> from repro.query import query
 >>> q = (query('main / ** / {"category": "loop"}')

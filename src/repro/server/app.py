@@ -9,10 +9,9 @@ in-process without sockets.
 
 Request handling contract:
 
-* the public surface is versioned: every endpoint's canonical mount
-  point is ``/v1/...``; the bare (historical) path is a deprecated
-  alias that serves the byte-identical body plus a ``Deprecation``
-  header and a one-time server log warning;
+* the public surface is versioned: every endpoint is mounted under
+  ``/v1/...``; a path outside ``/v1`` is a structured 404
+  ``unknown-endpoint``;
 * the routing table, request schemas, and response shapes live in
   :mod:`repro.server.schema` (:data:`~repro.server.schema.ENDPOINTS`),
   the same registry the generated ``docs/api.md`` and the public-API
@@ -44,14 +43,13 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import logging
 import os
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from typing import Callable
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import SplitResult, parse_qsl, urlsplit
 
 from repro.errors import ReproError
 from repro.core.metrics import MetricFlavor
@@ -132,8 +130,6 @@ __all__ = [
     "decode_json_body",
     "prometheus_from_states",
 ]
-
-logger = logging.getLogger("repro.server")
 
 #: request bodies above this are rejected with 413 (overridable per app)
 DEFAULT_MAX_BODY = 1 << 20
@@ -272,18 +268,17 @@ def _header(headers, name: str) -> str | None:
     return value
 
 
-def _split_version(path: str) -> tuple[str | None, str]:
-    """Split the version prefix off a request path.
+def _route_path(path: str) -> str | None:
+    """The route under the version prefix, or None outside it.
 
-    ``/v1/stats`` → ``("v1", "/stats")``; the bare ``/stats`` →
-    ``(None, "/stats")`` — a deprecated alias of the versioned path.
+    ``/v1/stats`` → ``"/stats"``; the bare ``/stats`` → ``None``.
     """
     prefix = "/" + API_VERSION
     if path == prefix or path == prefix + "/":
-        return API_VERSION, "/"
+        return "/"
     if path.startswith(prefix + "/"):
-        return API_VERSION, path[len(prefix):]
-    return None, path
+        return path[len(prefix):]
+    return None
 
 
 # --------------------------------------------------------------------- #
@@ -413,7 +408,6 @@ class AnalysisApp:
         self.slowlog = SlowLog(slow_ms) if slow_ms is not None else None
         self._stats_lock = threading.Lock()
         self._stats: dict[str, dict] = {}
-        self._warned_aliases: set[str] = set()
         self._inflight_lock = threading.Lock()
         self._inflight = 0
         self._shed = 0
@@ -544,9 +538,7 @@ class AnalysisApp:
         The payload is a JSON-ready dict, a :class:`RawBody` for the
         non-JSON ``/metrics`` endpoint, or a :class:`BinaryBody` when
         the request negotiated the columnar table encoding.  Headers
-        always carry ``X-Trace-Id``; requests on deprecated unversioned
-        aliases also get ``Deprecation`` and a ``Link`` to the
-        successor path.  *request_headers* (a dict or an
+        always carry ``X-Trace-Id``.  *request_headers* (a dict or an
         ``email.message.Message``) feeds content negotiation; only
         ``Accept`` is consulted.
         """
@@ -555,9 +547,12 @@ class AnalysisApp:
         trace_id = uuid.uuid4().hex[:16]
         token = set_trace_id(trace_id)
         headers: dict[str, str] = {"X-Trace-Id": trace_id}
-        parts = urlsplit(path)
-        version, route_path = _split_version(parts.path)
-        exempt = (
+        try:
+            parts = urlsplit(path)
+        except ValueError:  # e.g. "//[" (a bad IPv6 netloc): routes nowhere
+            parts = SplitResult("", "", path, "", "")
+        route_path = _route_path(parts.path)
+        exempt = route_path is not None and (
             tuple(s for s in route_path.split("/") if s) in _ADMISSION_EXEMPT
         )
         admitted = False
@@ -570,9 +565,10 @@ class AnalysisApp:
                         f"{self.max_inflight}; retry with backoff",
                         retry_after=1.0,
                     )
+            if route_path is None:
+                raise NotFound(f"unknown endpoint {parts.path!r}",
+                               code="unknown-endpoint")
             handler, params, label = self._match(method, route_path)
-            if version is None:
-                self._mark_deprecated_alias(method, label, route_path, headers)
             params["_accept"] = _header(request_headers, "Accept")
             with span(_REQUEST_SPAN_NAMES.get(label)
                       or f"server.request {label}"):
@@ -613,26 +609,6 @@ class AnalysisApp:
         if self.slowlog is not None:
             self.slowlog.record(label, elapsed_ms, status, trace_id)
         return status, payload, headers
-
-    def _mark_deprecated_alias(
-        self, method: str, label: str, route_path: str, headers: dict[str, str]
-    ) -> None:
-        """Stamp alias responses and warn once per aliased endpoint."""
-        headers["Deprecation"] = "true"
-        headers["Link"] = (
-            f"</{API_VERSION}{route_path}>; rel=\"successor-version\""
-        )
-        key = f"{method.upper()} {label}"
-        with self._stats_lock:
-            first = key not in self._warned_aliases
-            if first:
-                self._warned_aliases.add(key)
-        if first:
-            logger.warning(
-                "deprecated unversioned path used: %s %s — the canonical "
-                "endpoint is /%s%s (alias kept for compatibility)",
-                method.upper(), label, API_VERSION, label,
-            )
 
     # ------------------------------------------------------------------ #
     # routing
@@ -795,10 +771,6 @@ class AnalysisApp:
             "service": "repro-serve",
             "version": API_VERSION,
             "doc": "docs/server.md",
-            "aliases": (
-                f"unversioned paths are deprecated aliases of /{API_VERSION} "
-                "and answer with a Deprecation header"
-            ),
             "endpoints": listing,
         }
 

@@ -39,10 +39,10 @@ __all__ = ["AnalysisRequestHandler", "AnalysisServer", "build_server", "main"]
 
 #: the session id a request path addresses, for pool-mode affinity checks
 #: (must agree with the parent's routing regex in repro.server.pool)
-_POOL_SID_RE = re.compile(r"^(?:/v1)?/sessions/([^/?]+)")
+_POOL_SID_RE = re.compile(r"^/v1/sessions/([^/?]+)")
 #: corpus open-by-id with its claimed sid in the query string — affinity
 #: follows the sid, like the parent's _CORPUS_SID_RE
-_POOL_CORPUS_SID_RE = re.compile(r"^(?:/v1)?/corpus/[^ ]*[?&]sid=([^&#]+)")
+_POOL_CORPUS_SID_RE = re.compile(r"^/v1/corpus/[^ ]*[?&]sid=([^&#]+)")
 
 
 class AnalysisRequestHandler(BaseHTTPRequestHandler):
@@ -93,6 +93,15 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         if served == 0:
             return True
+        # read a small request body before closing: unread bytes at
+        # close make the kernel reset the connection, and the client can
+        # lose the 421 it has not read yet
+        try:
+            pending = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            pending = 0
+        if 0 < pending <= self.DRAIN_LIMIT:
+            self.rfile.read(pending)
         body = json.dumps({"error": {
             "status": 421,
             "code": "misrouted",

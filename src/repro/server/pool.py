@@ -79,18 +79,14 @@ _CTRL_BUF = 4 * 1024 * 1024
 _CTRL_CHUNK = 60 * 1024
 
 #: paths the parent pool answers itself, with merged worker state
-_POOL_PATHS = frozenset(
-    prefix + name
-    for prefix in ("/", "/v1/")
-    for name in ("stats", "metrics", "healthz")
-)
+_POOL_PATHS = frozenset(("/v1/stats", "/v1/metrics", "/v1/healthz"))
 
-_SID_RE = re.compile(rb"^[A-Z]+ (?:/v1)?/sessions/([^/ ?]+)")
+_SID_RE = re.compile(rb"^[A-Z]+ /v1/sessions/([^/ ?]+)")
 #: corpus open-by-id carrying its session id as a query parameter —
 #: routed to the sid's affinity worker so the open and every follow-up
 #: /sessions/<sid>/... request land on the same process (one pin owner,
 #: one resident experiment, no adoption churn)
-_CORPUS_SID_RE = re.compile(rb"^[A-Z]+ (?:/v1)?/corpus/[^ ]*[?&]sid=([^&# ]+)")
+_CORPUS_SID_RE = re.compile(rb"^[A-Z]+ /v1/corpus/[^ ]*[?&]sid=([^&# ]+)")
 _PATH_RE = re.compile(rb"^[A-Z]+ ([^ ?]+)")
 
 

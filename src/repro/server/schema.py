@@ -19,10 +19,8 @@ surface:
   ``docs/api.md``, and ``tools/gen_api_surface.py`` snapshots it into
   the public-API drift test.
 
-Versioning: the canonical mount point for every endpoint is
-``/v1<path>``; the bare path is a deprecated alias that serves the
-byte-identical body plus a ``Deprecation`` header (see
-``docs/server.md``).
+Versioning: every endpoint is mounted at ``/v1<path>``; a bare path
+is a 404 ``unknown-endpoint`` (see ``docs/server.md``).
 """
 
 from __future__ import annotations

@@ -23,18 +23,24 @@ or non-interactively (how the test-suite drives it)::
 from __future__ import annotations
 
 import cmd
+import fnmatch
 from typing import IO
 
 from repro.errors import ReproError
-from repro.core.filters import FilterSet
 from repro.core.metrics import MetricFlavor, MetricSpec
-from repro.core.views import ViewKind, ViewNode
+from repro.core.views import View, ViewKind, ViewNode
 from repro.hpcprof.experiment import Experiment
+from repro.query import Step, query, run_query
+from repro.query.engine import ViewFrame
 from repro.viewer.format import format_cell
 from repro.viewer.session import ViewerSession
 from repro.viewer.table import TableOptions, _row_label
 
 __all__ = ["InteractiveViewer"]
+
+#: a threshold: rows whose inclusive value falls below ``share`` of the
+#: column's total are hidden
+Threshold = tuple[MetricSpec, float]
 
 _VIEW_ALIASES = {
     "cct": ViewKind.CALLING_CONTEXT,
@@ -56,7 +62,9 @@ class InteractiveViewer(cmd.Cmd):
         super().__init__(stdout=stdout)
         self.session = ViewerSession(experiment)
         self.max_rows = 30
-        self.filters = FilterSet()
+        #: ``filter`` globs; a matching scope is elided (children spliced up)
+        self.elide: list[str] = []
+        self.threshold: Threshold | None = None
         #: row number -> node, rebuilt on every listing
         self._rows: dict[int, ViewNode] = {}
 
@@ -127,9 +135,9 @@ class InteractiveViewer(cmd.Cmd):
         roots = None
         if session.active is ViewKind.FLAT:
             roots = view.current_roots()
-        if len(self.filters):
-            from repro.query.compat import filter_forest
-            roots = filter_forest(self.filters, view, roots)
+        if self._filtering():
+            roots = splice(view, view.roots if roots is None else roots,
+                           self.elide, self.threshold)
         shown = 0
         for number, (row, depth) in enumerate(
             self._visible(state, roots), start=1
@@ -144,12 +152,13 @@ class InteractiveViewer(cmd.Cmd):
             self._say(f"{number:>4} {label:<56} {cell:>17}")
             shown += 1
 
+    def _filtering(self) -> bool:
+        return bool(self.elide) or self.threshold is not None
+
     def _visible(self, state, roots):
-        if not len(self.filters):
+        if not self._filtering():
             yield from state.visible_rows(roots=roots)
             return
-
-        from repro.query.compat import filter_children
 
         view = state.view
 
@@ -162,7 +171,8 @@ class InteractiveViewer(cmd.Cmd):
                 yield row, depth
                 if state.is_expanded(row):
                     yield from emit(
-                        filter_children(self.filters, view, row),
+                        splice(view, row.children, self.elide,
+                               self.threshold),
                         depth + 1)
 
         yield from emit(view.roots if roots is None else roots, 0)
@@ -263,11 +273,10 @@ class InteractiveViewer(cmd.Cmd):
         except ValueError:
             self._say("usage: threshold <percent>")
             return
-        try:
-            self.filters.set_threshold(self.session.state().column, share)
-        except ReproError as exc:
-            self._say(str(exc))
+        if not 0.0 <= share <= 1.0:
+            self._say(f"min_share must be within [0, 1], got {share}")
             return
+        self.threshold = (self.session.state().column, share)
         self.do_ls("")
 
     def do_filter(self, arg: str) -> None:
@@ -275,12 +284,13 @@ class InteractiveViewer(cmd.Cmd):
         if not arg.strip():
             self._say("usage: filter <glob pattern>")
             return
-        self.filters.add(arg.strip())
+        self.elide.append(arg.strip())
         self.do_ls("")
 
     def do_nofilter(self, _arg: str) -> None:
         """nofilter — clear all filters."""
-        self.filters = FilterSet()
+        self.elide = []
+        self.threshold = None
         self.do_ls("")
 
     def do_source(self, arg: str) -> None:
@@ -305,24 +315,20 @@ class InteractiveViewer(cmd.Cmd):
         if not arg.strip():
             self._say("usage: find <glob pattern>")
             return
-        from repro.core.search import SearchHit
-        from repro.query.compat import search_view
-
         try:
-            hits = [SearchHit(node=n, value=v, share=s, path=p)
-                    for n, v, s, p in search_view(
-                        self.session.view(), arg.strip(),
-                        spec=self.session.state().column, limit=10)]
+            hits = find(self.session.view(), arg.strip(),
+                        self.session.state().column, limit=10)
         except ReproError as exc:
             self._say(str(exc))
             return
         if not hits:
             self._say("no matches")
             return
-        for hit in hits:
-            self._say("  " + hit.describe())
-        self.session.state().select(hits[0].node)
-        self._say(f"selected heaviest match: {hits[0].node.name}")
+        for _node, _value, share, path in hits:
+            pct = f" ({100 * share:.1f}%)" if share else ""
+            self._say(f"  {' -> '.join(path)}{pct}")
+        self.session.state().select(hits[0][0])
+        self._say(f"selected heaviest match: {hits[0][0].name}")
 
     def do_annotate(self, arg: str) -> None:
         """annotate <file> [metric] — per-line exclusive costs of a file."""
@@ -353,3 +359,50 @@ class InteractiveViewer(cmd.Cmd):
 
     def default(self, line: str) -> None:
         self._say(f"unknown command {line.split()[0]!r}; try 'help'")
+
+
+# --------------------------------------------------------------------- #
+# filtering and search over a view
+# --------------------------------------------------------------------- #
+def splice(view: View, rows, elide, threshold: Threshold | None
+           ) -> list[ViewNode]:
+    """The rows to display in place of *rows*, in order.
+
+    A row whose name matches an *elide* glob is replaced by its own
+    spliced children, so its cost stays visible one level up; a kept
+    row below the *threshold* is hidden.  Display-only: the same node
+    objects, nothing in the view changes.
+    """
+    out: list[ViewNode] = []
+    for node in rows:
+        if any(fnmatch.fnmatchcase(node.name, glob) for glob in elide):
+            out.extend(splice(view, node.children, elide, threshold))
+        elif threshold is None or _passes(view, node, *threshold):
+            out.append(node)
+    return out
+
+
+def _passes(view: View, node: ViewNode, spec: MetricSpec,
+            share: float) -> bool:
+    total = view.total(spec)
+    if total == 0.0:
+        return True
+    incl = MetricSpec(spec.mid, MetricFlavor.INCLUSIVE)
+    return view.value(node, incl) >= share * total
+
+
+def find(view: View, glob: str, spec: MetricSpec, limit: int):
+    """Scopes of *view* named like *glob*, heaviest by *spec* first.
+
+    Returns ``(node, value, share, path)`` tuples: *share* is of the
+    view's inclusive total, *path* the names from a root down to the
+    node.  Ties keep the view's preorder.
+    """
+    frame = ViewFrame(view)
+    q = (query(Step(name=glob)).select(spec.mid, spec.flavor.value)
+         .sort().limit(limit))
+    result = run_query(q, frame)
+    total = frame.total(spec.mid)
+    return [(frame.nodes[row], value, (value / total) if total else 0.0,
+             frame.path(row))
+            for row, value in zip(result.rows, result.values[:, 0].tolist())]

@@ -19,7 +19,7 @@ from repro.core.attribution import (
 )
 from repro.core.cct import CCTKind
 from repro.core.engine import MetricEngine, attribute_columnar, engine_for
-from repro.core.errors import MetricError
+from repro.errors import MetricError
 from repro.core.hotpath import hot_path, hot_path_cct
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.hpcprof.experiment import Experiment
@@ -140,7 +140,7 @@ class TestEngineKernels:
             assert fast.values == slow.values
 
     def test_hot_path_threshold_validated(self, s3d_exp):
-        from repro.core.errors import ViewError
+        from repro.errors import ViewError
 
         with pytest.raises(ViewError):
             hot_path_cct(s3d_exp.cct.root, 0, 0.0, engine=s3d_exp.engine)

@@ -11,8 +11,10 @@ bit there must yield either
   (no phantoms) — or
 * a structured :class:`CorpusCorrupt` / :class:`CorpusError`,
 
-and **never** an unhandled exception.  The exhaustive sweep is marked
-``chaos``; a strided subset runs unmarked in tier-1.
+and **never** an unhandled exception.  A strided subset runs unmarked;
+the exhaustive sweep is marked ``chaos``.  Nothing deselects that
+marker, so both run in every tier-1 run; ``-m chaos`` selects the
+sweep alone.
 """
 
 from __future__ import annotations

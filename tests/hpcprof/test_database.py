@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import DatabaseError
+from repro.errors import DatabaseError
 from repro.core.metrics import MetricKind
 from repro.hpcprof import binio, database, xmlio
 from repro.hpcprof.experiment import Experiment

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import MetricError
+from repro.errors import MetricError
 from repro.hpcprof.merge import collect_rank_matrix
 from repro.hpcprof.summarize import (
     Moments,

@@ -1,4 +1,4 @@
-"""Property-based tests for filters, search and rendering invariants."""
+"""Property-based tests for the viewer's filters, find and rendering."""
 
 from __future__ import annotations
 
@@ -7,22 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ccview import CallingContextView
-from repro.core.filters import FilterAction, FilterSet
 from repro.core.metrics import MetricFlavor, MetricSpec
-from repro.core.search import search
-from repro.core.views import NodeCategory
 from repro.viewer.format import format_cell, format_percent, format_value
 from repro.viewer.navigation import NavigationState
 from repro.viewer.table import TableOptions, render_table
+from repro.viewer.tui import find, splice
 from tests.props.strategies import cct_experiments
 
 
-def _visible_names(filters, view, roots):
+def _visible(view, roots, elide, threshold):
     out = []
 
     def visit(node):
         out.append(node)
-        for child in filters.children_of(view, node):
+        for child in splice(view, node.children, elide, threshold):
             visit(child)
 
     for row in roots:
@@ -39,34 +37,43 @@ class TestFilterProps:
         inclusive cost coverage."""
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        filters = FilterSet().add(pattern,
-                                  categories=[NodeCategory.PROCEDURE_FRAME,
-                                              NodeCategory.CALL_SITE])
-        roots = filters.apply(view)
+        roots = splice(view, view.roots, [pattern], None)
         covered = sum(r.inclusive.get(0, 0.0) for r in roots)
         original = sum(r.inclusive.get(0, 0.0) for r in view.roots)
         # elided roots are replaced by their children, whose inclusive
-        # totals can only drop by the elided scopes' own raw cost — but
-        # with frame/call-site elision, statements remain, so coverage
-        # never exceeds the original and never goes negative
+        # totals can only drop by the elided scopes' own raw cost, so
+        # coverage never exceeds the original and never goes negative
         assert 0.0 <= covered <= original + 1e-9
 
     @settings(max_examples=30, deadline=None)
-    @given(data=cct_experiments())
-    def test_prune_removes_whole_subtrees(self, data):
+    @given(data=cct_experiments(),
+           pattern=st.sampled_from(["p0", "p1", "p2", "p3"]))
+    def test_elided_names_never_show(self, data, pattern):
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        filters = FilterSet().add("p0", action=FilterAction.PRUNE)
-        visible = _visible_names(filters, view, filters.apply(view))
-        assert all(n.name != "p0" for n in visible)
+        visible = _visible(view, splice(view, view.roots, [pattern], None),
+                           [pattern], None)
+        assert all(n.name != pattern for n in visible)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=cct_experiments(),
+           share=st.sampled_from([0.0, 0.01, 0.2, 0.5, 1.0]))
+    def test_threshold_rows_meet_share(self, data, share):
+        cct, _model, metrics = data
+        view = CallingContextView(cct, metrics)
+        spec = MetricSpec(0, MetricFlavor.INCLUSIVE)
+        threshold = (spec, share)
+        total = view.total(spec)
+        visible = _visible(view, splice(view, view.roots, [], threshold),
+                           [], threshold)
+        assert all(view.value(n, spec) >= share * total for n in visible)
 
     @settings(max_examples=30, deadline=None)
     @given(data=cct_experiments())
     def test_empty_filterset_is_identity(self, data):
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        filters = FilterSet()
-        assert filters.apply(view) == view.roots
+        assert splice(view, view.roots, [], None) == view.roots
 
 
 class TestSearchProps:
@@ -75,7 +82,8 @@ class TestSearchProps:
     def test_search_star_finds_every_scope(self, data):
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        hits = search(view, "*", limit=100_000)
+        spec = MetricSpec(0, MetricFlavor.INCLUSIVE)
+        hits = find(view, "*", spec, limit=100_000)
         walked = sum(1 for r in view.roots for _ in r.walk())
         assert len(hits) == walked
 
@@ -85,11 +93,11 @@ class TestSearchProps:
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
         spec = MetricSpec(0, MetricFlavor.INCLUSIVE)
-        hits = search(view, "*", spec=spec, limit=100_000)
-        values = [h.value for h in hits]
+        hits = find(view, "*", spec, limit=100_000)
+        values = [value for _node, value, _share, _path in hits]
         assert values == sorted(values, reverse=True)
-        for hit in hits:
-            assert hit.path[-1] == hit.node.name
+        for node, _value, _share, path in hits:
+            assert path[-1] == node.name
 
 
 class TestFormatProps:

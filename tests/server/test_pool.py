@@ -20,6 +20,7 @@ import zlib
 import pytest
 
 from repro.errors import NotFound
+from repro.server.app import AnalysisApp
 from repro.server.client import RetryingClient, RetryPolicy
 from repro.server.pool import (
     ServerPool,
@@ -138,6 +139,28 @@ class TestPoolServing:
         text = body.decode("utf-8")
         assert "# TYPE repro_server_requests_total counter" in text
         assert "repro_server_sessions" in text
+
+    def test_bare_path_is_structured_404(self, pool: ServerPool) -> None:
+        """Outside /v1 the pool answers like the single-process app: the
+        parent serves nothing itself, a worker answers the 404."""
+        host, port = pool.address
+        app = AnalysisApp()
+        for path in ("/stats", "/metrics", "/healthz",
+                     "/sessions/s1/table"):
+            conn = http.client.HTTPConnection(host, port, timeout=scaled(30))
+            try:
+                conn.request("GET", path)
+                response = conn.getresponse()
+                error = json.loads(response.read())["error"]
+                assert response.status == 404, path
+                assert error["code"] == "unknown-endpoint", path
+                assert error["trace_id"] == response.getheader("X-Trace-Id")
+            finally:
+                conn.close()
+            status, payload, headers = app.handle_full("GET", path)
+            assert status == 404, path
+            assert payload["error"]["code"] == "unknown-endpoint", path
+            assert payload["error"]["trace_id"] == headers["X-Trace-Id"]
 
     def test_session_created_on_one_worker_readable_everywhere(
         self, pool: ServerPool
@@ -626,12 +649,6 @@ class TestCorpusSidRouting:
         first = instance._pick_slot(head)
         second = instance._pick_slot(head)
         assert {first, second} == {0, 1}  # round-robin, not pinned
-
-    def test_unversioned_alias_also_routes(self) -> None:
-        instance = self._pool()
-        head = (b"POST /corpus/t/profiles/p1/open?sid=s12 "
-                b"HTTP/1.1\r\n\r\n")
-        assert instance._pick_slot(head) == zlib.crc32(b"s12") % 2
 
     def test_worker_affinity_guard_sees_corpus_sid(self) -> None:
         from repro.server.http import _POOL_CORPUS_SID_RE

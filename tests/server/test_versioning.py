@@ -1,22 +1,15 @@
-"""The /v1 surface and its deprecated unversioned aliases.
+"""The /v1 surface: every registry operation, and nothing outside it.
 
-The compatibility promise under test: every unversioned path is an
-alias of its ``/v1`` counterpart — same handler, same cache, same
-counters, **byte-identical body** — distinguished only by the
-``Deprecation``/``Link`` response headers and a one-time log warning.
-
-The equivalence is checked by driving the *same* request scenario
-(covering every endpoint in the registry) through two identically
-built apps, one speaking alias paths and one speaking ``/v1``, and
-comparing every response byte for byte.  Time-dependent monitoring
-payloads (stats/healthz latency and uptime numbers) are compared
-structurally instead.
+One request scenario covering every endpoint in the registry runs
+against a fresh app under ``/v1``; every answer must be a JSON object,
+and every error a structured payload carrying the request's trace id.
+A path outside ``/v1`` is a structured 404 ``unknown-endpoint`` —
+in process and over the real HTTP shell.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import socket
 import threading
 
@@ -24,99 +17,119 @@ import pytest
 
 from repro.server.app import AnalysisApp
 from repro.server.http import build_server
-from repro.server.schema import ENDPOINTS, RawBody
+from repro.server.schema import ENDPOINTS
 from tests.server.conftest import scaled
 
 #: one scenario touching every non-monitoring endpoint, in a
 #: cache-and-generation-sensitive order; {sid} is substituted after the
 #: open call (deterministically "s1" on a fresh app)
 SCENARIO = [
-    ("GET", "/", None),
-    ("GET", "/sessions", None),
-    ("POST", "/sessions", {"workload": "fig1"}),
-    ("GET", "/sessions/{sid}", None),
-    ("GET", "/sessions/{sid}/metrics", None),
-    ("POST", "/sessions/{sid}/metrics",
+    ("GET", "/v1/", None),
+    ("GET", "/v1/sessions", None),
+    ("POST", "/v1/sessions", {"workload": "fig1"}),
+    ("GET", "/v1/sessions/{sid}", None),
+    ("GET", "/v1/sessions/{sid}/metrics", None),
+    ("POST", "/v1/sessions/{sid}/metrics",
      {"name": "cpi", "formula": "$0 / $1", "unit": "cyc/ins"}),
-    ("POST", "/sessions/{sid}/sort",
+    ("POST", "/v1/sessions/{sid}/sort",
      {"metric": "cycles", "flavor": "exclusive", "descending": True}),
-    ("GET", "/sessions/{sid}/hotpath", None),
-    ("POST", "/sessions/{sid}/hotpath", {"view": "callers"}),
-    ("GET", "/sessions/{sid}/render?view=flat&depth=2", None),
-    ("POST", "/sessions/{sid}/render",
+    ("GET", "/v1/sessions/{sid}/hotpath", None),
+    ("POST", "/v1/sessions/{sid}/hotpath", {"view": "callers"}),
+    ("GET", "/v1/sessions/{sid}/render?view=flat&depth=2", None),
+    ("POST", "/v1/sessions/{sid}/render",
      {"view": "cct", "hot_path": True, "max_rows": 30}),
-    ("GET", "/sessions/{sid}/table?view=callers&depth=2", None),
-    ("POST", "/sessions/{sid}/table",
+    ("GET", "/v1/sessions/{sid}/table?view=callers&depth=2", None),
+    ("POST", "/v1/sessions/{sid}/table",
      {"view": "cct", "depth": 3, "max_rows": 40}),
-    ("POST", "/sessions/{sid}/flatten", None),
-    ("POST", "/sessions/{sid}/unflatten", None),
+    ("POST", "/v1/sessions/{sid}/flatten", None),
+    ("POST", "/v1/sessions/{sid}/unflatten", None),
     # call-path queries: session mode on both verbs, plus a corpus-mode
-    # attempt (no --corpus here, so a structured 404 that must alias)
-    ("POST", "/query",
+    # attempt (no --corpus here, so a structured 404)
+    ("POST", "/v1/query",
      {"session": "s1", "query": {"pattern": "** / *", "limit": 5}}),
-    ("GET", '/query?session=s1&query={{"pattern": "m"}}', None),
-    ("POST", "/query", {"tenant": "t", "diagnose": True}),
-    # stateless ensemble surface: a self-diff of the open session is
-    # deterministic (all-zero rows, no findings) and alias-identical
-    ("POST", "/diff", {"sessions": ["s1", "s1"], "depth": 1}),
-    ("GET", '/diff?sessions=["s1","s1"]&max_rows=5', None),
-    # trace views: these apps have no trace store on disk at this
-    # path, so both verbs answer the same structured 404 — which must
-    # alias identically
-    ("POST", "/trace", {"path": "no-such.rpstore", "view": "flame"}),
-    ("GET", "/trace?path=no-such.rpstore&view=series", None),
-    # error paths must alias identically too (modulo the trace id)
-    ("GET", "/ensemble", None),
-    ("POST", "/ensemble", {"databases": ["solo"]}),
-    # corpus endpoints: these apps run without --corpus, so every call
-    # answers the same structured 404 — which must alias identically
-    ("GET", "/corpus", None),
-    ("GET", "/corpus/{tenant}/profiles", None),
-    ("POST", "/corpus/{tenant}/profiles", {"name": "x", "data": "AA=="}),
-    ("GET", "/corpus/{tenant}/profiles/{pid}", None),
-    ("POST", "/corpus/{tenant}/profiles/{pid}/open", None),
-    ("POST", "/corpus/{tenant}/compact", None),
-    ("GET", "/corpus/{tenant}/policy", None),
-    ("POST", "/corpus/{tenant}/policy", {"max_profiles": 1}),
-    ("DELETE", "/corpus/{tenant}/profiles/{pid}", None),
-    ("GET", "/sessions/nope", None),
-    ("POST", "/sessions/{sid}/render", {"view": "bogus"}),
-    ("PUT", "/sessions/{sid}/render", None),
-    ("GET", "/definitely/not/an/endpoint", None),
-    ("DELETE", "/sessions/{sid}", None),
+    ("GET", '/v1/query?session=s1&query={{"pattern": "m"}}', None),
+    ("POST", "/v1/query", {"tenant": "t", "diagnose": True}),
+    # stateless ensemble surface: a self-diff of the open session
+    # (all-zero rows, no findings)
+    ("POST", "/v1/diff", {"sessions": ["s1", "s1"], "depth": 1}),
+    ("GET", '/v1/diff?sessions=["s1","s1"]&max_rows=5', None),
+    # trace views: there is no trace store on disk at this path, so
+    # both verbs answer a structured 404
+    ("POST", "/v1/trace", {"path": "no-such.rpstore", "view": "flame"}),
+    ("GET", "/v1/trace?path=no-such.rpstore&view=series", None),
+    # error paths
+    ("GET", "/v1/ensemble", None),
+    ("POST", "/v1/ensemble", {"databases": ["solo"]}),
+    # corpus endpoints: the app runs without --corpus, so every call
+    # answers a structured 404
+    ("GET", "/v1/corpus", None),
+    ("GET", "/v1/corpus/{tenant}/profiles", None),
+    ("POST", "/v1/corpus/{tenant}/profiles", {"name": "x", "data": "AA=="}),
+    ("GET", "/v1/corpus/{tenant}/profiles/{pid}", None),
+    ("POST", "/v1/corpus/{tenant}/profiles/{pid}/open", None),
+    ("POST", "/v1/corpus/{tenant}/compact", None),
+    ("GET", "/v1/corpus/{tenant}/policy", None),
+    ("POST", "/v1/corpus/{tenant}/policy", {"max_profiles": 1}),
+    ("DELETE", "/v1/corpus/{tenant}/profiles/{pid}", None),
+    ("GET", "/v1/sessions/nope", None),
+    ("POST", "/v1/sessions/{sid}/render", {"view": "bogus"}),
+    ("PUT", "/v1/sessions/{sid}/render", None),
+    ("GET", "/v1/definitely/not/an/endpoint", None),
+    ("DELETE", "/v1/sessions/{sid}", None),
 ]
 
 
-def drive(app: AnalysisApp, versioned: bool):
-    """Run SCENARIO against *app*; returns [(status, canonical body)]."""
+def drive(app: AnalysisApp):
+    """Run SCENARIO against *app*; returns [(status, payload, headers)]."""
     out = []
     sid = "s?"
     for method, path, body in SCENARIO:
         path = path.format(sid=sid, tenant="t", pid="p000001")
-        if versioned:
-            path = "/v1" + path
         raw = json.dumps(body).encode() if body is not None else b""
-        status, payload = app.handle(method, path, raw)
-        if isinstance(payload.get("error"), dict):
-            # trace ids are per-request by design; equivalence is
-            # everything else
-            payload["error"].pop("trace_id", None)
-        out.append((status, json.dumps(payload, sort_keys=True)))
+        status, payload, headers = app.handle_full(method, path, raw)
+        out.append((status, payload, headers))
         if path.endswith("/sessions") and method == "POST":
             sid = payload["session"]["id"]
     return out
 
 
-class TestAliasEquivalence:
-    def test_scenario_byte_identical(self):
-        alias = drive(AnalysisApp(), versioned=False)
-        versioned = drive(AnalysisApp(), versioned=True)
-        for (step, a, v) in zip(SCENARIO, alias, versioned):
-            assert a == v, f"alias and /v1 responses differ at {step[:2]}"
+#: paths outside /v1: the bare forms of real endpoints and the root
+BARE_PATHS = [
+    ("GET", "/"),
+    ("GET", "/sessions"),
+    ("POST", "/sessions"),
+    ("GET", "/stats"),
+    ("GET", "/metrics"),
+    ("GET", "/healthz"),
+    ("POST", "/sessions/s1/render"),
+    ("POST", "/query"),
+    ("GET", "/corpus"),
+    ("GET", "/v2/sessions"),
+    ("GET", "//["),  # not even a parseable request target
+]
+
+
+class TestVersionedSurface:
+    def test_scenario_answers_structured_json(self):
+        for step, (status, payload, headers) in zip(
+            SCENARIO, drive(AnalysisApp())
+        ):
+            assert isinstance(payload, dict), step[:2]
+            json.dumps(payload)
+            if status >= 400:
+                error = payload["error"]
+                assert error["status"] == status, step[:2]
+                assert error["code"], step[:2]
+                assert error["trace_id"] == headers["X-Trace-Id"], step[:2]
+
+    def test_help_lists_endpoints_only(self):
+        status, payload = AnalysisApp().handle("GET", "/v1/")
+        assert status == 200
+        assert set(payload) == {"service", "version", "doc", "endpoints"}
 
     def test_registry_coverage(self):
         """SCENARIO exercises every (method, path) in the registry except
-        the three monitoring endpoints tested structurally below."""
+        the three monitoring endpoints."""
         covered = set()
         for method, path, _ in SCENARIO:
             covered.add((method, path.split("?")[0].replace("s1", "<sid>")))
@@ -124,42 +137,28 @@ class TestAliasEquivalence:
             if endpoint.path in ("/healthz", "/stats", "/metrics"):
                 continue
             for op in endpoint.ops:
-                pattern = (
+                pattern = "/v1" + (
                     endpoint.path.replace("<sid>", "{sid}")
                     .replace("<tenant>", "{tenant}")
                     .replace("<pid>", "{pid}")
-                ) or "/"
+                )
                 assert (op.method, pattern) in covered, (
                     f"{op.method} {endpoint.path} not covered by SCENARIO"
                 )
 
-    def test_monitoring_endpoints_same_shape(self):
+    @pytest.mark.parametrize("method,path", BARE_PATHS)
+    def test_bare_path_is_structured_404(self, method, path):
         app = AnalysisApp()
         app.handle("POST", "/v1/sessions", b'{"workload": "fig1"}')
-        for path in ("/healthz", "/stats"):
-            s1, p1 = app.handle("GET", path)
-            s2, p2 = app.handle("GET", "/v1" + path)
-            assert (s1, s2) == (200, 200)
-            assert set(p1) == set(p2)
-
-    def test_prometheus_alias(self):
-        app = AnalysisApp()
-        s1, p1, h1 = app.handle_full("GET", "/metrics")
-        s2, p2, h2 = app.handle_full("GET", "/v1/metrics")
-        assert (s1, s2) == (200, 200)
-        assert isinstance(p1, RawBody) and isinstance(p2, RawBody)
-        assert p1.content_type == p2.content_type
-        assert p1.content_type.startswith("text/plain; version=0.0.4")
-        assert h1["Deprecation"] == "true" and "Deprecation" not in h2
+        status, payload, headers = app.handle_full(method, path)
+        assert status == 404
+        assert payload["error"]["code"] == "unknown-endpoint"
+        assert payload["error"]["trace_id"] == headers["X-Trace-Id"]
+        assert "Deprecation" not in headers and "Link" not in headers
 
 
 class TestDeprecationSignals:
-    def test_alias_headers(self):
-        app = AnalysisApp()
-        status, _payload, headers = app.handle_full("GET", "/sessions")
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        assert headers["Link"] == '</v1/sessions>; rel="successor-version"'
+    """No response carries a deprecation signal any more."""
 
     def test_versioned_path_clean(self):
         app = AnalysisApp()
@@ -167,16 +166,6 @@ class TestDeprecationSignals:
         assert status == 200
         assert "Deprecation" not in headers and "Link" not in headers
         assert headers["X-Trace-Id"]
-
-    def test_warning_logged_once_per_endpoint(self, caplog):
-        app = AnalysisApp()
-        with caplog.at_level(logging.WARNING, logger="repro.server"):
-            for _ in range(3):
-                app.handle("GET", "/sessions")
-            app.handle("GET", "/healthz")
-            app.handle("GET", "/v1/sessions")
-        warned = [r for r in caplog.records if "deprecated" in r.message]
-        assert len(warned) == 2  # one per aliased endpoint, not per request
 
     def test_trace_id_header_matches_error_payload(self):
         app = AnalysisApp()
@@ -186,7 +175,7 @@ class TestDeprecationSignals:
 
 
 class TestOverHttp:
-    """The headers and raw body must survive the real HTTP shell."""
+    """Status, headers and raw body through the real HTTP shell."""
 
     @pytest.fixture()
     def server(self):
@@ -223,15 +212,13 @@ class TestOverHttp:
             headers[key.strip().lower()] = value.strip()
         return status, headers, body
 
-    def test_alias_headers_and_body_equivalence(self, server):
-        s1, h1, b1 = self._get(server, "/sessions")
-        s2, h2, b2 = self._get(server, "/v1/sessions")
-        assert (s1, s2) == (200, 200)
-        assert b1 == b2
-        assert h1["deprecation"] == "true"
-        assert h1["link"] == '</v1/sessions>; rel="successor-version"'
-        assert "deprecation" not in h2
-        assert h1["x-trace-id"] != h2["x-trace-id"]
+    def test_bare_path_404_over_http(self, server):
+        status, headers, body = self._get(server, "/sessions")
+        assert status == 404
+        error = json.loads(body)["error"]
+        assert error["code"] == "unknown-endpoint"
+        assert error["trace_id"] == headers["x-trace-id"]
+        assert "deprecation" not in headers
 
     def test_metrics_prometheus_over_http(self, server):
         self._get(server, "/v1/sessions")  # record at least one request

@@ -1,15 +1,14 @@
-"""The blessed ``repro.api`` facade and the deprecation shims.
+"""The blessed ``repro.api`` facade and the error taxonomy.
 
 Pins the Python-side v1 promise: every facade name resolves, the
 one-call :func:`repro.api.open_database` works on both database
-formats, and the moved error modules keep working as shims that (a)
-warn and (b) re-export the *identical* class objects — so existing
-``except`` clauses still catch.
+formats, every domain error maps to one wire code, and the moved
+modules stay gone.
 """
 
 from __future__ import annotations
 
-import warnings
+import importlib
 
 import pytest
 
@@ -70,40 +69,16 @@ class TestOpenDatabase:
 
 
 class TestDeprecationShims:
-    def test_core_errors_warns_and_aliases(self):
-        import importlib
-        import repro.core.errors as shim_module
+    """The deprecated modules are gone; their taxonomy lives on in
+    :mod:`repro.errors`."""
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim_module)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.errors import DatabaseError, ReproError
-
-        assert shim.DatabaseError is DatabaseError
-        assert shim.ReproError is ReproError
-
-    def test_server_errors_warns_and_aliases(self):
-        import importlib
-        import repro.server.errors as shim_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim_module)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.errors import ApiError, BadRequest, NotFound
-
-        assert shim.ApiError is ApiError
-        assert shim.BadRequest is BadRequest
-        assert shim.NotFound is NotFound
-
-    def test_old_except_clauses_still_catch(self, tmp_path):
-        """The load path raises repro.errors classes; a caller still
-        importing from the old module must catch them unchanged."""
-        from repro.core.errors import DatabaseError as OldDatabaseError
-
-        with pytest.raises(OldDatabaseError):
-            api.open_database(str(tmp_path / "nope.rpdb"))
+    @pytest.mark.parametrize("module", [
+        "repro.core.errors", "repro.server.errors", "repro.core.search",
+        "repro.core.filters", "repro.query.compat",
+    ])
+    def test_moved_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_wire_codes_cover_every_domain_family(self):
         from repro import errors

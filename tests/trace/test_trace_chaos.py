@@ -8,12 +8,15 @@ Two attack surfaces, the same verdict required from both:
   or a structured :class:`TraceError` / :class:`TraceCorrupt` — never
   an unhandled exception, and **never a phantom window** (a result that
   silently differs from the uncorrupted answer).  A strided subset runs
-  unmarked in tier-1; the exhaustive sweep is ``-m chaos``.
+  unmarked; the exhaustive sweep is marked ``chaos``.
 * **writer crashes** — :func:`crashing_at` aborts ``create_trace_store``
   at every declared crash point; because the manifest rename commits
   last, the path must afterwards be either *not a trace store at all*
   or a fully working one.  One subprocess ``kill -9`` representative
-  runs unmarked; the full SIGKILL sweep is ``-m chaos``.
+  runs unmarked; the full SIGKILL sweep is marked ``chaos``.
+
+Nothing deselects the ``chaos`` marker, so every sweep here runs in
+every tier-1 run; ``-m chaos`` selects the marked ones alone.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ works on this machine:
    the in-memory Figure 1 experiment and returns the expected scopes;
 2. the same query returns **bit-identical** rows on a binary-round-trip
    copy and on an mmap-backed ``.rpstore`` of the same experiment;
-3. the legacy ``search()`` shim agrees with the engine on the hit set;
+3. the interactive viewer's ``find`` agrees with the engine on the hit
+   set;
 4. ``POST /v1/query`` serves the query in session mode, and the
    columnar wire form decodes to exactly the JSON rows;
 5. a two-profile corpus diagnoses cleanly through the same endpoint.
@@ -26,7 +27,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,15 +64,14 @@ def check_backends(exp: Experiment, tmp: str) -> int:
     return len(reference)
 
 
-def check_shim(exp: Experiment) -> None:
-    from repro.core.search import search
+def check_find(exp: Experiment) -> None:
+    from repro.core.metrics import MetricSpec
+    from repro.viewer.tui import find
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        hits = search(exp.views()[0], "m*")
+    hits = find(exp.views()[0], "m*", MetricSpec(0), limit=50)
     engine = run_query(query("** / m*"), exp)
-    assert {h.node.name for h in hits} == set(engine.names), (
-        "search() shim hit set diverged from the engine")
+    assert {node.name for node, *_ in hits} == set(engine.names), (
+        "viewer find hit set diverged from the engine")
 
 
 def check_endpoint(payload: bytes, tmp: str) -> None:
@@ -120,10 +119,10 @@ def main() -> int:
     payload = binio.dumps_binary(exp)
     with tempfile.TemporaryDirectory(prefix="query-smoke-") as tmp:
         rows = check_backends(exp, tmp)
-        check_shim(exp)
+        check_find(exp)
         check_endpoint(payload, tmp)
     print(f"query smoke OK: {rows} rows bit-identical across "
-          f"in-memory/.rpdb/.rpstore, shim agrees, /v1/query JSON == "
+          f"in-memory/.rpdb/.rpstore, viewer find agrees, /v1/query JSON == "
           f"columnar, 2-profile corpus diagnosis clean")
     return 0
 
