@@ -85,6 +85,7 @@ for width in widths:
     store.reset_counters()
     run_query(q, store)
     touched = store.chunks_touched
+    slab, events = store.chunks_slab, store.chunks_events
     samples = []
     for _ in range(repeats):
         s = time.perf_counter()
@@ -94,6 +95,8 @@ for width in widths:
         "window_s": hi - lo,
         "rows": result.row_count,
         "chunks_touched": touched,
+        "chunks_slab": slab,
+        "chunks_events": events,
         "median_s": statistics.median(samples),
         "max_s": max(samples),
     }

@@ -40,7 +40,7 @@ from repro.errors import MetricError
 from repro.obs.spans import traced
 from repro.core.metrics import MetricFlavor, MetricSpec, MetricValues
 
-__all__ = ["MetricEngine", "attribute_columnar", "engine_for"]
+__all__ = ["MetricEngine", "attribute_arrays", "attribute_columnar", "engine_for"]
 
 # kind codes used in the per-row ``kinds`` array
 KIND_ROOT, KIND_FRAME, KIND_CALL_SITE, KIND_LOOP, KIND_STATEMENT = range(5)
@@ -234,39 +234,14 @@ class MetricEngine:
     # ------------------------------------------------------------------ #
     # attribution kernels (Eqs. 1 and 2, vectorized)
     # ------------------------------------------------------------------ #
-    @traced("engine.attribution")
     def compute_attribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized Eq. 1 + Eq. 2 from ``raw``; returns (inclusive, exclusive).
-
-        Both accumulations sweep the depth levels bottom-up with one
-        ``np.add.at`` segment add per level, so every row is touched a
-        constant number of times regardless of shape, and additions into a
-        parent row happen in child order (``ufunc.at`` applies updates in
-        index order, and rows within a level are in preorder) — exactly
-        the dict path's evaluation order.
-        """
-        parent_rows = self.parent_rows
-        kinds = self.kinds
-        inclusive = self.raw.copy()
-        within = self.raw.copy()  # within-frame raw subtotals (Eq. 1 barrier)
-        nonframe = kinds != KIND_FRAME
-        for depth in range(self.max_depth, 0, -1):
-            rows = self._rows_at_depth(depth)
-            np.add.at(inclusive, parent_rows[rows], inclusive[rows])
-            inner = rows[nonframe[rows]]
-            if len(inner):
-                np.add.at(within, parent_rows[inner], within[inner])
-
-        exclusive = self.raw.copy()  # statements, call sites, and the root
-        frames = kinds == KIND_FRAME
-        exclusive[frames] = within[frames]
-        # loops: own raw plus direct child statement / call-site raw
-        leafish = (kinds == KIND_STATEMENT) | (kinds == KIND_CALL_SITE)
-        rows = np.where(leafish & (parent_rows >= 0))[0]
-        rows = rows[kinds[parent_rows[rows]] == KIND_LOOP]
-        if len(rows):
-            np.add.at(exclusive, parent_rows[rows], self.raw[rows])
-        return inclusive, exclusive
+        """Vectorized Eq. 1 + Eq. 2 from ``raw``; returns (inclusive, exclusive)."""
+        return attribute_arrays(
+            self.raw,
+            self.parent_rows,
+            self.kinds,
+            [self._rows_at_depth(d) for d in range(self.max_depth + 1)],
+        )
 
     def refresh(self) -> None:
         """Recompute the attributed matrices from ``raw`` in place."""
@@ -440,6 +415,44 @@ class MetricEngine:
     def memory_bytes(self) -> int:
         """Matrix memory footprint (the dense side of the ablation)."""
         return self.raw.nbytes + self.inclusive.nbytes + self.exclusive.nbytes
+
+
+@traced("engine.attribution")
+def attribute_arrays(
+    raw: np.ndarray,
+    parent_rows: np.ndarray,
+    kinds: np.ndarray,
+    levels: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized Eq. 1 + Eq. 2 over bare preorder arrays.
+
+    *levels* lists the rows of each depth, shallowest first, each in
+    preorder.  Both accumulations sweep the levels bottom-up with one
+    ``np.add.at`` segment add per level, so every row is touched a
+    constant number of times regardless of shape, and additions into a
+    parent row happen in child order (``ufunc.at`` applies updates in
+    index order, and rows within a level are in preorder) — exactly the
+    dict path's evaluation order.  Returns ``(inclusive, exclusive)``.
+    """
+    inclusive = raw.copy()
+    within = raw.copy()  # within-frame raw subtotals (Eq. 1 barrier)
+    nonframe = kinds != KIND_FRAME
+    for rows in reversed(levels[1:]):
+        np.add.at(inclusive, parent_rows[rows], inclusive[rows])
+        inner = rows[nonframe[rows]]
+        if len(inner):
+            np.add.at(within, parent_rows[inner], within[inner])
+
+    exclusive = raw.copy()  # statements, call sites, and the root
+    frames = kinds == KIND_FRAME
+    exclusive[frames] = within[frames]
+    # loops: own raw plus direct child statement / call-site raw
+    leafish = (kinds == KIND_STATEMENT) | (kinds == KIND_CALL_SITE)
+    rows = np.where(leafish & (parent_rows >= 0))[0]
+    rows = rows[kinds[parent_rows[rows]] == KIND_LOOP]
+    if len(rows):
+        np.add.at(exclusive, parent_rows[rows], raw[rows])
+    return inclusive, exclusive
 
 
 def _sparse(vector: np.ndarray) -> MetricValues:

@@ -55,9 +55,21 @@ class Correlator:
     def add_profile(self, profile: ProfileData) -> None:
         """Fuse one profile's call paths into the CCT."""
         for frames, leaf_line, costs in profile.paths():
-            node = self._insert_path(frames)
-            self._attribute_leaf(node, leaf_line, costs)
+            self._leaf_scope(frames, leaf_line).add_raw(dict(costs))
         self.cct.invalidate_caches()  # shape and raw values changed
+
+    def add_contexts(self, contexts) -> list[CCTNode]:
+        """Insert ``(frames, leaf_line)`` contexts without cost.
+
+        Returns the leaf scope each context correlates to, in input
+        order — the context -> scope map a trace interns once so its
+        windows never correlate again.
+        """
+        leaves = [
+            self._leaf_scope(frames, leaf_line) for frames, leaf_line in contexts
+        ]
+        self.cct.invalidate_caches()
+        return leaves
 
     # ------------------------------------------------------------------ #
     def _resolve_proc(self, frame: Frame) -> StructureNode:
@@ -102,14 +114,14 @@ class Correlator:
             caller_proc = callee_proc
         return node
 
-    def _attribute_leaf(self, frame_node: CCTNode, line: int, costs) -> None:
+    def _leaf_scope(self, frames: list[Frame], line: int) -> CCTNode:
+        """The scope a sample at *line* in the innermost frame lands on."""
+        frame_node = self._insert_path(frames)
         proc = frame_node.struct
         anchor = self._descend_loops(frame_node, proc, line)
         if line in self._call_line_set(proc):
-            leaf = anchor.ensure_call_site(line, struct=proc)
-        else:
-            leaf = anchor.ensure_statement(line, struct=proc)
-        leaf.add_raw(dict(costs))
+            return anchor.ensure_call_site(line, struct=proc)
+        return anchor.ensure_statement(line, struct=proc)
 
 
 def correlate(profile: ProfileData, structure: StructureModel) -> CCT:

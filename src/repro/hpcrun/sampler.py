@@ -11,7 +11,10 @@ true cost distribution.
 
 ``SamplingProfiler.sample_once`` is exposed for deterministic testing:
 the machinery from unwinding through attribution is exercised without a
-timing dependence.
+timing dependence.  It may run while the periodic thread does, so
+attribution — profile, trace event with its timestamp, sample count —
+happens under one lock: each trace event is one sample's, and trace
+times are monotone in recording order.
 
 With ``trace=True`` (single-thread mode only) every sample additionally
 becomes one timestamped event in a
@@ -83,6 +86,8 @@ class SamplingProfiler:
         self._sampler_tid: int | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        #: one writer at a time: the periodic thread and sample_once()
+        self._lock = threading.Lock()
         self.samples_taken = 0
 
     # ------------------------------------------------------------------ #
@@ -107,7 +112,8 @@ class SamplingProfiler:
         self._thread.join()
         self._thread = None
         if self.trace is not None:
-            self.trace.seal()
+            with self._lock:
+                self.trace.seal()
 
     def __enter__(self) -> "SamplingProfiler":
         self.start()
@@ -146,11 +152,12 @@ class SamplingProfiler:
             for tid, frame in current.items():
                 if tid == self._sampler_tid:
                     continue  # never profile the profiler
-                profile = self.thread_profiles.get(tid)
-                if profile is None:
-                    profile = ProfileData(self.metrics, thread=tid,
-                                          program="sampled")
-                    self.thread_profiles[tid] = profile
+                with self._lock:
+                    profile = self.thread_profiles.get(tid)
+                    if profile is None:
+                        profile = ProfileData(self.metrics, thread=tid,
+                                              program="sampled")
+                        self.thread_profiles[tid] = profile
                 hit = self._attribute(profile, frame) or hit
         finally:
             del current
@@ -162,13 +169,16 @@ class SamplingProfiler:
         )
         if not frames:
             return False
-        profile.add_sample(frames, leaf_line, {self._samples_mid: self.period})
-        if self.trace is not None and not self.trace.sealed:
-            t = max(0.0, time.perf_counter() - self._t0)
-            self.trace.record(
-                frames, leaf_line, t, {self._samples_mid: self._period_ticks}
+        with self._lock:
+            profile.add_sample(
+                frames, leaf_line, {self._samples_mid: self.period}
             )
-        self.samples_taken += 1
+            if self.trace is not None and not self.trace.sealed:
+                t = max(0.0, time.perf_counter() - self._t0)
+                self.trace.record(
+                    frames, leaf_line, t, {self._samples_mid: self._period_ticks}
+                )
+            self.samples_taken += 1
         return True
 
     def merged_profile(self) -> ProfileData:

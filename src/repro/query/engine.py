@@ -53,13 +53,14 @@ from repro.core.engine import (
     KIND_LOOP,
     KIND_ROOT,
     KIND_STATEMENT,
+    attribute_arrays,
 )
 from repro.core.metrics import MetricFlavor, MetricKind, MetricSpec
 from repro.errors import QueryError
 from repro.query.lang import ANY_DEPTH, MetricPred, Query, Step
 from repro.query.result import QueryResult
 
-__all__ = ["EngineFrame", "ViewFrame", "build_frame", "run_query"]
+__all__ = ["ArrayFrame", "EngineFrame", "ViewFrame", "build_frame", "run_query"]
 
 #: engine kind code -> query category string (CCT-level vocabulary)
 _KIND_CATEGORY = {
@@ -292,43 +293,30 @@ class _FrameBase:
         return tuple(reversed(names))
 
 
-class EngineFrame(_FrameBase):
-    """A frame straight over an experiment's :class:`MetricEngine`.
+class _MatrixFrame(_FrameBase):
+    """Column kernels over raw / inclusive / exclusive metric matrices.
 
-    In-memory experiments, eager ``.rpdb`` loads, and mmap-backed
-    ``.rpstore`` experiments all surface here through the same three
-    matrices, which is what makes query results bit-identical across
-    backends.
+    Subclasses provide the CCT-level structure arrays and
+    :meth:`_matrix`; derived metrics evaluate vectorized over the
+    measured columns.
     """
 
     cat_names = [_KIND_CATEGORY[k] for k in sorted(_KIND_CATEGORY)]
 
-    def __init__(self, experiment) -> None:
+    def __init__(self, metrics) -> None:
         super().__init__()
-        engine = experiment.engine
-        if engine is None:
-            raise QueryError(
-                "cannot query an experiment with no metrics")
-        self.experiment = experiment
-        self.engine = engine
-        self.metrics = experiment.metrics
-        self.n = len(engine.nodes)
-        self.names = [node.name for node in engine.nodes]
-        self.parent = engine.parent_rows
-        self.depth = engine.depths
-        self.end = engine.subtree_end
-        self.cat_codes = engine.kinds
+        self.metrics = metrics
         self._derived_cache: dict[tuple[int, str], np.ndarray] = {}
         self._derived_guard: set[int] = set()
+
+    def _matrix(self, flavor: str) -> np.ndarray:
+        raise NotImplementedError
 
     def column(self, mid: int, flavor: str) -> np.ndarray:
         desc = self.metrics.by_id(mid)
         if desc.kind is MetricKind.DERIVED:
             return self._derived_column(desc, flavor)
-        matrix = {"raw": self.engine.raw,
-                  "inclusive": self.engine.inclusive,
-                  "exclusive": self.engine.exclusive}[flavor]
-        return matrix[:, mid]
+        return self._matrix(flavor)[:, mid]
 
     def _derived_column(self, desc, flavor: str) -> np.ndarray:
         key = (desc.mid, flavor)
@@ -363,7 +351,66 @@ class EngineFrame(_FrameBase):
                 desc.formula,
                 resolver=lambda other: self.total(other),
             )
-        return self.engine.total(mid)
+        return float(self._matrix("inclusive")[0, mid])
+
+
+class EngineFrame(_MatrixFrame):
+    """A frame straight over an experiment's :class:`MetricEngine`.
+
+    In-memory experiments, eager ``.rpdb`` loads, and mmap-backed
+    ``.rpstore`` experiments all surface here through the same three
+    matrices, which is what makes query results bit-identical across
+    backends.
+    """
+
+    def __init__(self, experiment) -> None:
+        engine = experiment.engine
+        if engine is None:
+            raise QueryError(
+                "cannot query an experiment with no metrics")
+        super().__init__(experiment.metrics)
+        self.experiment = experiment
+        self.engine = engine
+        self.n = len(engine.nodes)
+        self.names = [node.name for node in engine.nodes]
+        self.parent = engine.parent_rows
+        self.depth = engine.depths
+        self.end = engine.subtree_end
+        self.cat_codes = engine.kinds
+
+    def _matrix(self, flavor: str) -> np.ndarray:
+        return getattr(self.engine, flavor)
+
+
+class ArrayFrame(_MatrixFrame):
+    """A frame over bare preorder arrays — a CCT that was never built.
+
+    *parent* / *depth* / *kinds* describe the tree (rows in preorder,
+    children in sibling order) and *raw* holds each scope's measured
+    cost; Eq. 1/2 attribution runs here, with the same kernel an
+    engine built from a CCT runs.  Trace windows answer through this
+    frame (:meth:`~repro.trace.model.TraceSet.window_frame`).
+    """
+
+    def __init__(self, metrics, names, parent, depth, kinds, raw) -> None:
+        super().__init__(metrics)
+        self.n = len(names)
+        self.names = names
+        self.parent = parent
+        self.depth = depth
+        self.cat_codes = kinds
+        levels = self._level_rows()
+        inclusive, exclusive = attribute_arrays(raw, parent, kinds, levels)
+        self._matrices = {"raw": raw, "inclusive": inclusive,
+                          "exclusive": exclusive}
+        # preorder subtree extents, folded up one level at a time
+        sizes = np.ones(self.n, dtype=np.int64)
+        for rows in reversed(levels[1:]):
+            np.add.at(sizes, parent[rows], sizes[rows])
+        self.end = np.arange(self.n, dtype=np.int64) + sizes
+
+    def _matrix(self, flavor: str) -> np.ndarray:
+        return self._matrices[flavor]
 
 
 class ViewFrame(_FrameBase):
@@ -533,12 +580,12 @@ def _value_columns(frame, q: Query):
 
 def run_query(q: Query, target) -> QueryResult:
     """Evaluate *q* against *target*; the engine behind ``Query.run``."""
-    if hasattr(target, "window_experiment"):
-        # trace-capable target (TraceSet / TraceStore): materialize the
-        # windowed CCT — the whole trace when the query is untimed —
-        # then evaluate the rest of the query against it as usual
+    if hasattr(target, "window_frame"):
+        # trace-capable target (TraceSet / TraceStore): answer the
+        # window — the whole trace when the query is untimed — as
+        # arrays, then evaluate the rest of the query against them
         t0, t1 = q.time_window if q.time_window is not None else (None, None)
-        target = target.window_experiment(t0, t1)
+        target = target.window_frame(t0, t1)
         q = replace(q, time_window=None)
     elif q.time_window is not None:
         raise QueryError(

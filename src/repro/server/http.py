@@ -59,6 +59,11 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
     #: reusable; anything bigger closes the connection instead
     DRAIN_LIMIT = 64 * 1024
 
+    #: TCP_NODELAY on every served socket: headers and body leave in
+    #: separate writes, and with Nagle on the body waits for the
+    #: client's delayed ACK of the headers (tens of ms per small reply)
+    disable_nagle_algorithm = True
+
     # ------------------------------------------------------------------ #
     def _affinity_guard(self) -> bool:
         """Pool-mode connection discipline; True when serving may proceed.

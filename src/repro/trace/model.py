@@ -4,7 +4,9 @@ A profile answers *where* time went; a trace also answers *when*.  This
 module holds the in-memory trace model: per-rank streams of timestamped
 call-path samples (:class:`TraceData`) and the multi-rank bundle
 (:class:`TraceSet`) that materializes time-windowed CCTs through the
-exact same correlation pipeline the untimed profiles use.
+exact same correlation pipeline the untimed profiles use — or, for
+queries, answers a window from a context table interned once
+(:class:`ContextIndex`) with the same values, bit for bit.
 
 Exactness is the load-bearing design decision.  Windowed results must
 be **bit-identical** whether they are computed from in-memory events or
@@ -28,6 +30,7 @@ pin.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,8 +38,10 @@ import numpy as np
 from repro.errors import TraceError
 from repro.core.metrics import MetricTable
 from repro.hpcrun.profile_data import Frame, ProfileData
+from repro.obs.spans import span, traced
 
 __all__ = [
+    "ContextIndex",
     "DEFAULT_RESOLUTION",
     "TIME_RESOLUTION",
     "TraceData",
@@ -114,6 +119,182 @@ def check_window(t0: float | None, t1: float | None) -> tuple[float, float]:
     if lo > hi:
         raise TraceError(f"window is inverted: t0={t0!r} > t1={t1!r}")
     return lo, hi
+
+
+class ContextIndex:
+    """Every context of a trace correlated once, kept as arrays.
+
+    The union tree holds the scopes of all contexts; a window is a
+    subset of its rows in an order of its own.  Per row: ``parent``,
+    ``kinds`` (engine kind codes), ``depth`` and ``names``; per row
+    also ``ancestors``, its root-to-row chain padded with -1.  Per
+    context: ``leaf`` (the row its samples land on) and ``trie``, the
+    ids of its call-path prefixes (the nodes of the
+    :class:`~repro.hpcrun.profile_data.ProfileData` trie a sample of
+    it passes through), padded with -1, with ``n_frames`` valid ids.
+    """
+
+    def __init__(self, contexts, structure) -> None:
+        from repro.core.engine import MetricEngine
+        from repro.hpcprof.correlate import Correlator
+
+        correlator = Correlator(structure)
+        leaf_nodes = correlator.add_contexts(contexts)
+        engine = MetricEngine(correlator.cct, 1, gather_attributed=False)
+        self.parent = engine.parent_rows
+        self.kinds = engine.kinds
+        self.depth = engine.depths
+        self.names = np.array([node.name for node in engine.nodes], dtype=object)
+        n = len(engine.nodes)
+        self.ancestors = np.full((n, engine.max_depth + 1), -1, dtype=np.int64)
+        self.ancestors[0, 0] = 0
+        for d in range(1, engine.max_depth + 1):
+            rows = np.flatnonzero(self.depth == d)
+            self.ancestors[rows] = self.ancestors[self.parent[rows]]
+            self.ancestors[rows, d] = rows
+        self.leaf = np.array(
+            [engine.row_of(node) for node in leaf_nodes], dtype=np.int64
+        )
+
+        prefixes: dict[tuple, int] = {}
+        seen: set = set()
+        paths: list[list[int]] = []
+        for frames, leaf_line in contexts:
+            ids = []
+            node = -1
+            for frame in frames:
+                node = prefixes.setdefault((node, frame.key), len(prefixes))
+                ids.append(node)
+            if (node, leaf_line) in seen:
+                raise TraceError("trace context table lists a context twice")
+            seen.add((node, leaf_line))
+            paths.append(ids)
+        self.n_trie = len(prefixes)
+        self.n_frames = np.array([len(ids) for ids in paths], dtype=np.int64)
+        width = int(self.n_frames.max()) if len(paths) else 0
+        self.trie = np.full((len(paths), width), -1, dtype=np.int64)
+        for ci, ids in enumerate(paths):
+            self.trie[ci, : len(ids)] = ids
+
+    def sample_order(self, nranks: int, pr: np.ndarray,
+                     pc: np.ndarray) -> np.ndarray:
+        """The order the object path adds ``(rank, context)`` pairs.
+
+        Each rank's profile is a call-path trie filled in context id
+        order and read back depth first: a trie node's own leaf lines
+        (context id order) come before its children, and children come
+        in the order their first context was added.  Ranks follow each
+        other.  Returns the permutation of the pairs into that order.
+        """
+        n_ctx = len(self.leaf)
+        paths = self.trie[pc]
+        ok = paths >= 0
+        first = np.full((nranks, self.n_trie), n_ctx, dtype=np.int64)
+        ranks = np.broadcast_to(pr[:, None], paths.shape)[ok]
+        np.minimum.at(first, (ranks, paths[ok]),
+                      np.broadcast_to(pc[:, None], paths.shape)[ok])
+        # step j: a child taken (n_ctx + its first context) or, at the
+        # end of the path, the context's own leaf line (its id, < n_ctx)
+        keys = np.full((len(pc), paths.shape[1] + 1), -1, dtype=np.int64)
+        keys[:, :-1] = np.where(
+            ok, n_ctx + first[pr[:, None], np.where(ok, paths, 0)], -1
+        )
+        keys[np.arange(len(pc)), self.n_frames[pc]] = pc
+        return np.lexsort(tuple(keys[:, ::-1].T) + (pr,))
+
+    def frame(self, ticks: np.ndarray, resolutions: Mapping[int, float],
+              metrics: MetricTable):
+        """The query frame of a window's ``(nranks, n_contexts,
+        n_metrics)`` tick sums — bit-identical to the experiment the
+        object path (materialize, correlate, merge, attribute) builds.
+
+        * scopes exist where some rank has a nonzero context under them;
+        * siblings come in the order the merge creates them: by the
+          first rank holding them, then by the first pair of
+          :meth:`sample_order` in that rank that reaches them;
+        * raw costs are ``ticks * resolution``, summed per rank in
+          sample order and then across ranks in rank order — the
+          correlator's and the merge's float order.
+        """
+        from repro.query.engine import ArrayFrame
+
+        nranks, _, n_metrics = ticks.shape
+        width = len(metrics)
+        pr, pc = np.nonzero(ticks.any(axis=2))
+        order = self.sample_order(nranks, pr, pc)
+        pr, pc = pr[order], pc[order]
+        n_pairs = len(pc)
+
+        # first pair (in sample order) reaching each union row
+        chains = self.ancestors[self.leaf[pc]]
+        ok = chains >= 0
+        first = np.full(len(self.parent), n_pairs, dtype=np.int64)
+        np.minimum.at(first, chains[ok],
+                      np.broadcast_to(np.arange(n_pairs)[:, None],
+                                      chains.shape)[ok])
+        first[0] = -1  # the root exists even in an empty window
+        rows = np.flatnonzero(first < n_pairs)
+        path_keys = self.ancestors[rows]
+        path_keys = np.where(path_keys >= 0, first[path_keys], -2)
+        rows = rows[np.lexsort(path_keys[:, ::-1].T)]
+
+        # raw: per-rank sums in sample order, then ranks in order
+        used = min(n_metrics, width)
+        res = np.array([resolutions[mid] for mid in range(used)])
+        values = ticks[pr, pc, :used] * res
+        leaves, slot = np.unique(self.leaf[pc], return_inverse=True)
+        per_rank = np.zeros((nranks, len(leaves), used))
+        np.add.at(per_rank, (pr, slot), values)
+        sums = np.zeros((len(leaves), used))
+        for r in range(nranks):
+            sums += per_rank[r]
+
+        position = np.full(len(self.parent), -1, dtype=np.int64)
+        position[rows] = np.arange(len(rows))
+        raw = np.zeros((len(rows), width))
+        raw[position[leaves], :used] = sums
+        parent = self.parent[rows]
+        parent = np.where(parent >= 0, position[parent], -1)
+        return ArrayFrame(metrics, self.names[rows].tolist(), parent,
+                          self.depth[rows], self.kinds[rows], raw)
+
+
+class WindowedTrace:
+    """Window answering shared by :class:`TraceSet` and the chunked
+    :class:`~repro.trace.store.TraceStore`.
+
+    Hosts provide ``contexts``, ``resolutions``, :meth:`window_ticks`
+    and :meth:`_window_basis` (the structure model and metric table a
+    window correlates against and reports in).  The first window
+    interns every context once (:class:`ContextIndex`); each window
+    after that is array work over its tick sums.
+    """
+
+    _index: ContextIndex | None = None
+    _index_lock: threading.Lock
+
+    def _window_basis(self):
+        raise NotImplementedError
+
+    def context_index(self) -> ContextIndex:
+        """The interned context table, built once on first use."""
+        index = self._index
+        if index is None:
+            with self._index_lock:
+                index = self._index
+                if index is None:
+                    structure, _metrics = self._window_basis()
+                    with span("trace.intern"):
+                        index = ContextIndex(self.contexts, structure)
+                    self._index = index
+        return index
+
+    @traced("trace.window-frame")
+    def window_frame(self, t0: float | None = None, t1: float | None = None):
+        """The window as a query frame (see :meth:`ContextIndex.frame`)."""
+        ticks = self.window_ticks(t0, t1)
+        index = self.context_index()
+        return index.frame(ticks, self.resolutions, self._window_basis()[1])
 
 
 class TraceData:
@@ -323,7 +504,7 @@ class TraceData:
         )
 
 
-class TraceSet:
+class TraceSet(WindowedTrace):
     """A multi-rank trace with one shared context table.
 
     The per-rank :class:`TraceData` context ids are remapped into one
@@ -343,6 +524,7 @@ class TraceSet:
         self.traces = [t.seal() for t in traces]
         self.structure = structure
         self.name = name
+        self._index_lock = threading.Lock()
         first = self.traces[0]
         for t in self.traces[1:]:
             if t.metrics.names() != first.metrics.names():
@@ -395,7 +577,11 @@ class TraceSet:
         ends = [t.t_end for t in self.traces if t.t_end is not None]
         return max(ends) if ends else None
 
+    def _window_basis(self):
+        return self.structure, self.metrics
+
     # ------------------------------------------------------------------ #
+    @traced("trace.window-ticks")
     def window_ticks(
         self, t0: float | None = None, t1: float | None = None
     ) -> np.ndarray:
@@ -447,7 +633,8 @@ class TraceSet:
     def window_experiment(
         self, t0: float | None = None, t1: float | None = None
     ):
-        """The CCT experiment of the window — the trace query backend."""
+        """The window materialized as an object-graph experiment (for
+        views); queries answer through :meth:`window_frame` instead."""
         return experiment_from_profiles(
             self.window_profiles(t0, t1), self.structure, self.name
         )

@@ -40,6 +40,7 @@ import json
 import math
 import os
 import shutil
+import threading
 import zlib
 
 import numpy as np
@@ -47,9 +48,11 @@ import numpy as np
 from repro.errors import DatabaseError, TraceCorrupt, TraceError
 from repro.core.metrics import MetricTable
 from repro.hpcrun.profile_data import Frame
+from repro.obs.spans import traced
 from repro.testing.faults import crash_point, register_crash_points
 from repro.trace.model import (
     TraceSet,
+    WindowedTrace,
     check_window,
     experiment_from_profiles,
     materialize_profile,
@@ -321,14 +324,16 @@ class _Chunk:
         self._slab_ok = False
 
 
-class TraceStore:
+class TraceStore(WindowedTrace):
     """Reader over a committed time-partitioned trace store.
 
     Chunk slabs and event arrays open as file-backed mmaps on first
     touch (after a one-time CRC verification), so resident memory stays
     flat no matter how many events the trace holds.
     :attr:`chunks_touched` counts the partitions a query actually
-    opened — the pruning guarantee the benchmark asserts.
+    opened — the pruning guarantee the benchmark asserts — split into
+    :attr:`chunks_slab` (answered from the pre-aggregated slab) and
+    :attr:`chunks_events` (read event by event).
     """
 
     def __init__(self, path: str) -> None:
@@ -402,7 +407,10 @@ class TraceStore:
         self._chunks.sort(key=lambda c: c.index)
         self.chunks_total = len(self._chunks)
         self.chunks_touched = 0
+        self.chunks_slab = 0
+        self.chunks_events = 0
         self._skeleton_exp = None
+        self._index_lock = threading.Lock()
 
         # fail fast on missing/truncated files; content CRCs are lazy
         for chunk in self._chunks:
@@ -487,10 +495,13 @@ class TraceStore:
 
     def reset_counters(self) -> None:
         self.chunks_touched = 0
+        self.chunks_slab = 0
+        self.chunks_events = 0
 
     # ------------------------------------------------------------------ #
     # windowing (the same protocol as TraceSet)
     # ------------------------------------------------------------------ #
+    @traced("trace.window-ticks")
     def window_ticks(
         self, t0: float | None = None, t1: float | None = None
     ) -> np.ndarray:
@@ -507,8 +518,10 @@ class TraceStore:
         for chunk in self._overlapping(lo, hi):
             self.chunks_touched += 1
             if lo <= chunk.t_lo and chunk.t_hi < hi:
+                self.chunks_slab += 1
                 out += self._chunk_slab(chunk)
                 continue
+            self.chunks_events += 1
             times, ranks, ctx, ticks = self._chunk_events(chunk)
             mask = (times >= lo) & (times < hi)
             np.add.at(out, (ranks[mask], ctx[mask]), ticks[mask])
@@ -524,6 +537,7 @@ class TraceStore:
         times_parts, ctx_parts, tick_parts = [], [], []
         for chunk in self._overlapping(lo, hi):
             self.chunks_touched += 1
+            self.chunks_events += 1
             times, ranks, ctx, ticks = self._chunk_events(chunk)
             mask = (ranks == rank) & (times >= lo) & (times < hi)
             times_parts.append(times[mask])
@@ -560,6 +574,10 @@ class TraceStore:
                 raise TraceCorrupt(f"{SKELETON_NAME} is unreadable: {exc}")
         return self._skeleton_exp
 
+    def _window_basis(self):
+        skeleton = self.skeleton
+        return skeleton.structure, skeleton.metrics
+
     def window_profiles(
         self, t0: float | None = None, t1: float | None = None
     ):
@@ -580,8 +598,9 @@ class TraceStore:
     def window_experiment(
         self, t0: float | None = None, t1: float | None = None
     ):
-        """The CCT experiment of the window, built exactly like the
-        in-memory path (same correlate pipeline, same tick sums)."""
+        """The window materialized as an object-graph experiment, built
+        exactly like the in-memory path (same correlate pipeline, same
+        tick sums); queries answer through :meth:`window_frame`."""
         return experiment_from_profiles(
             self.window_profiles(t0, t1), self.skeleton.structure, self.name
         )
@@ -617,6 +636,7 @@ class TraceStore:
             chunk._events = None
             chunk._slab = None
         self._skeleton_exp = None
+        self._index = None
 
     def __enter__(self) -> "TraceStore":
         return self

@@ -5,6 +5,8 @@ same TraceSet/window pipeline the simulator uses."""
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -12,7 +14,7 @@ from repro.errors import ProfilerError
 from repro.hpcrun.sampler import SamplingProfiler
 from repro.hpcrun.tracer import TracingProfiler
 from repro.hpcstruct.pystruct import build_python_structure
-from repro.trace import TraceSet
+from repro.trace import TraceData, TraceSet
 from tests.hpcrun import target_workload
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -89,3 +91,69 @@ class TestSamplerTraceMode:
         samples = sampler.metrics.by_name("wall time (s)").mid
         assert sampler.trace.profile().totals()[samples] == \
             pytest.approx(sampler.profile.totals()[samples], rel=1e-9)
+
+
+class _CheckingTrace(TraceData):
+    """A trace that notices overlapping ``record`` calls and keeps each
+    call's sample in call order.  ``record`` yields the GIL half way,
+    which widens any unsynchronized window between two writers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.inside = 0
+        self.overlaps = 0
+        self.calls = []
+
+    def record(self, frames, leaf_line, t, ticks):
+        self.inside += 1
+        if self.inside > 1:
+            self.overlaps += 1
+        time.sleep(0)
+        self.calls.append((tuple(f.key for f in frames), leaf_line, t,
+                           dict(ticks)))
+        super().record(frames, leaf_line, t, ticks)
+        self.inside -= 1
+
+
+class TestSamplerConcurrency:
+    def test_sample_once_beside_the_periodic_thread(self):
+        """Hammer sample_once() from two threads while the 0.5 ms
+        periodic thread samples too: records never overlap, times are
+        monotone in recording order, every event is one sample's time,
+        context and ticks, and every sample is one event."""
+        sampler = SamplingProfiler(period=0.0005, roots=[HERE], trace=True)
+        trace = _CheckingTrace(
+            sampler.metrics,
+            resolutions=sampler.trace.resolutions,
+            program="sampled",
+            time_metric=sampler.trace.time_metric,
+        )
+        sampler.trace = trace
+
+        def hammer():
+            for _ in range(300):
+                sampler.sample_once()
+
+        sampler.start()
+        threads = [threading.Thread(target=hammer) for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                time.sleep(0.0005)  # the sampled stack, inside the roots
+        finally:
+            for thread in threads:
+                thread.join()
+            sampler.stop()
+
+        assert trace.overlaps == 0
+        times = [t for _, _, t, _ in trace.calls]
+        assert times == sorted(times)
+        assert trace.n_events == len(trace.calls) == sampler.samples_taken
+        assert sampler.samples_taken >= 600
+        contexts = trace.contexts
+        for i, (keys, line, t, ticks) in enumerate(trace.calls):
+            frames, leaf_line = contexts[int(trace.ctx_ids[i])]
+            assert (tuple(f.key for f in frames), leaf_line) == (keys, line)
+            assert float(trace.times[i]) == t
+            assert trace.ticks[i].tolist() == [ticks[0]]

@@ -165,3 +165,75 @@ def test_window_experiment_equals_in_memory_query(fig1_store,
     q = query("**/*").window(t0, t1).sort(metric)
     assert run_query(q, fig1_store).to_rows() == \
         run_query(q, fig1_traces).to_rows()
+
+
+@pytest.fixture(scope="module")
+def dense_store(fig1_traces, tmp_path_factory):
+    """Fig1's contexts sampled every 10 ms on two ranks, in 40 chunks
+    whose events spread over their span (so windows cut chunks)."""
+    from repro.trace import TraceData, TraceSet
+
+    traces = []
+    for rank in range(2):
+        td = TraceData(fig1_traces.metrics,
+                       resolutions=fig1_traces.resolutions, rank=rank)
+        contexts = fig1_traces.contexts
+        for i in range(2000):
+            frames, line = contexts[(i * 7 + rank) % len(contexts)]
+            td.record(frames, line, 0.01 * i, {0: 1 + i % 5})
+        traces.append(td)
+    trace_set = TraceSet(traces, fig1_traces.structure, name="dense")
+    path = str(tmp_path_factory.mktemp("dense") / "t.rpstore")
+    store = create_trace_store(trace_set, path, chunk_duration=0.5)
+    yield store
+    store.close()
+
+
+@pytest.mark.parametrize("width", [0.01, 0.25, 1.0])
+def test_chunk_counters_match_manifest_overlap(dense_store, width):
+    """A window query counts each overlapping chunk once: as a slab
+    chunk when the window covers it, else as an events chunk — the
+    split the manifest's recorded bounds predict."""
+    from repro.query import query, run_query
+
+    store = dense_store
+    with open(os.path.join(store.path, TRACE_MANIFEST)) as fh:
+        bounds = [(c["t_lo"], c["t_hi"]) for c in json.load(fh)["chunks"]]
+    assert len(bounds) == 40
+    span = store.t_end - store.t_begin
+    lo = store.t_begin + 0.31 * (1.0 - width) * span
+    hi = lo + width * span
+    overlap = [(c_lo, c_hi) for c_lo, c_hi in bounds
+               if not (c_hi < lo or c_lo >= hi)]
+    covered = sum(lo <= c_lo and c_hi < hi for c_lo, c_hi in overlap)
+
+    store.reset_counters()
+    run_query(query("**/*").window(lo, hi), store)
+    assert store.chunks_touched == len(overlap) > 0
+    assert store.chunks_slab == covered
+    assert store.chunks_events == len(overlap) - covered > 0
+
+    store.reset_counters()
+    assert (store.chunks_touched, store.chunks_slab,
+            store.chunks_events) == (0, 0, 0)
+
+
+def test_window_spans_are_emitted(fig1_store):
+    """Interning, tick sums and the frame build each trace a span; the
+    context table is interned once per open store."""
+    from repro.obs import install, uninstall
+    from repro.query import query, run_query
+
+    fig1_store.close()  # drop any interned table
+    tracer = install()
+    try:
+        for _ in range(3):
+            run_query(query("**/*").window(None, None), fig1_store)
+    finally:
+        uninstall()
+    counts = {}
+    for path, (calls, _self_s) in tracer.snapshot().items():
+        counts[path[-1]] = counts.get(path[-1], 0) + calls
+    assert counts["trace.window-frame"] == 3
+    assert counts["trace.window-ticks"] == 3
+    assert counts["trace.intern"] == 1
